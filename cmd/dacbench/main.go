@@ -74,8 +74,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	flag.Parse()
 
-	// The worker-pool pin must be in place before the first JIT call reads
-	// it (the jit package resolves the override once). CI uses this to
+	// The worker-pool pin must be in place before the first deployment
+	// reads it (internal/core resolves the overrides once). CI uses this to
 	// prove the gated metrics are identical under sequential and parallel
 	// compilation.
 	if *compileWorkers > 0 {

@@ -60,7 +60,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	maxModule := flag.Int64("max-module-bytes", 4<<20, "largest accepted module upload")
 	deployTTL := flag.Duration("deploy-ttl", 0, "evict deployments idle for this long (0 = keep forever)")
-	compileWorkers := flag.Int("compile-workers", 0, "JIT worker pool per compilation (0 = GOMAXPROCS, 1 = sequential)")
+	compileWorkers := flag.Int("compile-workers", 0, "JIT worker pool per image build (0 = SPLITVM_COMPILE_WORKERS or GOMAXPROCS, 1 = sequential)")
 	maxPerModule := flag.Int("max-deploys-per-module", 0, "cap live deployments per module (0 = unlimited)")
 	maxPerTenant := flag.Int("max-deploys-per-tenant", 0, "cap live deployments per X-Tenant header value (0 = unlimited)")
 	maxInflight := flag.Int("max-inflight-per-tenant", 0, "cap in-flight run/run-batch requests per tenant; excess is shed with 429 resource_exhausted (0 = unlimited)")
@@ -97,9 +97,9 @@ func main() {
 		return
 	}
 
-	opts := []splitvm.Option{
-		splitvm.WithCacheSize(*cacheSize),
-		splitvm.WithCompileWorkers(*compileWorkers),
+	opts := []splitvm.Option{splitvm.WithCacheSize(*cacheSize)}
+	if *compileWorkers != 0 {
+		opts = append(opts, splitvm.WithCompileWorkers(*compileWorkers))
 	}
 	if *cacheDir != "" {
 		opts = append(opts, splitvm.WithDiskCache(*cacheDir))

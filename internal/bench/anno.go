@@ -68,11 +68,11 @@ func RunAnno() (*AnnoReport, error) {
 				row.V0Bytes = res.AnnotationBytes
 			} else {
 				row.V1Bytes = res.AnnotationBytes
-				img, err := core.BuildImage(res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
+				img, err := core.BuildImage(res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit}, core.ImageConfig{})
 				if err != nil {
 					return nil, err
 				}
-				row.Fallbacks = img.AnnotationFallbacks
+				row.Fallbacks = img.Report().Fallbacks
 			}
 		}
 		rep.Rows = append(rep.Rows, row)
@@ -81,11 +81,11 @@ func RunAnno() (*AnnoReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := core.BuildImage(synthetic, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
+	img, err := core.BuildImage(synthetic, tgt, jit.Options{RegAlloc: jit.RegAllocSplit}, core.ImageConfig{})
 	if err != nil {
 		return nil, err
 	}
-	rep.SyntheticFallbacks = img.AnnotationFallbacks
+	rep.SyntheticFallbacks = img.Report().Fallbacks
 	return rep, nil
 }
 

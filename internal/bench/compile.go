@@ -203,7 +203,7 @@ func measureCompileLazy(opts CompileOptions) (*CompileLazy, error) {
 	jopts := jit.Options{RegAlloc: jit.RegAllocSplit}
 
 	start := time.Now()
-	if _, err := core.ImageFromVerifiedModule(mod, tgt, jopts); err != nil {
+	if _, err := core.NewImage(mod, tgt, jopts, core.ImageConfig{}); err != nil {
 		return nil, err
 	}
 	cell := &CompileLazy{
@@ -212,13 +212,17 @@ func measureCompileLazy(opts CompileOptions) (*CompileLazy, error) {
 	}
 
 	start = time.Now()
-	lazyImg, err := core.LazyImageFromVerifiedModule(mod, tgt, jopts)
+	lazyImg, err := core.NewImage(mod, tgt, jopts, core.ImageConfig{Lazy: true})
 	if err != nil {
 		return nil, err
 	}
-	lazyImg.Instantiate()
+	ls, err := core.NewLinked([]core.LinkUnit{{Hash: core.HashModule(res.Encoded), Image: lazyImg}})
+	if err != nil {
+		return nil, err
+	}
+	ls.Instantiate()
 	cell.LazyDeployNanos = time.Since(start).Nanoseconds()
-	cell.MethodsCompiledAtDeploy, _ = lazyImg.MethodCounts()
+	cell.MethodsCompiledAtDeploy = lazyImg.Summary().Compiled
 
 	// Demand every method once; each resolution is one first-call JIT.
 	for _, m := range mod.Methods {
@@ -226,7 +230,7 @@ func measureCompileLazy(opts CompileOptions) (*CompileLazy, error) {
 			return nil, err
 		}
 	}
-	cell.FirstCallNanosTotal = lazyImg.LazyCompileNanos()
+	cell.FirstCallNanosTotal = lazyImg.Summary().CompileNanos
 	return cell, nil
 }
 
@@ -235,7 +239,7 @@ func measureCompileCell(kernel string, encoded []byte, tgt *target.Desc, mode ji
 
 	// Cold: the full deployment-side build of a never-seen byte stream.
 	start := time.Now()
-	img, err := core.BuildImage(encoded, tgt, jopts)
+	img, err := core.BuildImage(encoded, tgt, jopts, core.ImageConfig{})
 	if err != nil {
 		return CompileCell{}, err
 	}

@@ -78,8 +78,8 @@ func RunFigure1() (*Figure1Report, error) {
 			OfflineSteps:               annotated.OfflineSteps,
 			AnnotationBytes:            annotated.AnnotationBytes,
 			EncodedBytes:               len(annotated.Encoded),
-			JITStepsWithAnnotations:    withAnn.JITSteps,
-			JITStepsWithoutAnnotations: withoutAnn.JITSteps,
+			JITStepsWithAnnotations:    withAnn.Link.Summary().JITSteps,
+			JITStepsWithoutAnnotations: withoutAnn.Link.Summary().JITSteps,
 		}
 		if row.JITStepsWithoutAnnotations > 0 {
 			row.OnlineSavings = 1 - float64(row.JITStepsWithAnnotations)/float64(row.JITStepsWithoutAnnotations)

@@ -13,7 +13,9 @@
 //   - Deploy runs the device-side toolchain for one simulated target: decode,
 //     verify, JIT-compile (mapping or scalarizing the portable vector
 //     builtins, consuming the register allocation annotation) and instantiate
-//     a cycle-approximate machine ready to Run entry points.
+//     a cycle-approximate machine ready to Run entry points. Every
+//     deployment is a link set (link.go) of per-method images (image.go); a
+//     single module is a set of one.
 //
 // Everything the experiments measure (cycles, spills, compile effort,
 // annotation bytes, code sizes) is reachable from these two results.
@@ -143,182 +145,47 @@ func CompileKernel(name string, opts OfflineOptions) (*OfflineResult, kernels.Ke
 	return res, k, err
 }
 
-// Image is the immutable, target-specific half of a deployment: the decoded
-// and verified module together with the native program the JIT produced for
-// one target. An Image holds no execution state, so it can be built once and
-// instantiated into any number of machines — it is the unit the public
-// engine's code cache stores and shares between concurrent deployments.
-type Image struct {
-	Target  *target.Desc
-	Module  *cil.Module
-	Program *nisa.Program
-	// JITOpts is the online-compiler configuration that produced the
-	// program (kept so tiering can re-run the same pipeline for its
-	// profile-guided validation).
-	JITOpts jit.Options
-
-	// JITSteps approximates the work the online compiler performed; with
-	// split compilation this stays small even when the generated code is
-	// aggressive.
-	JITSteps int64
-	// CompileNanos is the wall-clock time the JIT spent producing this
-	// image (the online compile cost a deployment pays on a cache miss).
-	CompileNanos int64
-
-	// AnnotationOutcomes is the per-method result of the load-time
-	// annotation negotiation: which sections were consumed at which schema
-	// version, and which fell back to online-only compilation.
-	AnnotationOutcomes []anno.MethodOutcome
-	// AnnotationFallbacks counts the sections that fell back (never an
-	// error: annotations are advisory).
-	AnnotationFallbacks int
-
-	// lazy, when non-nil, marks the image as compile-on-first-call: Program
-	// starts empty and methods move stub → compiling → ready through
-	// ResolveMethod (see lazy.go). Nil — the default — is the eager image
-	// with every method compiled up front.
-	lazy *lazyState
-}
-
 // BuildImage decodes, verifies and JIT-compiles an encoded module for a
 // target. This is everything that happens on the device side of the
 // distribution boundary, short of instantiating a machine. Modules that
 // import other modules are rejected here: their cross-module calls can only
 // resolve through a link set (NewLinked), and failing at build time is what
 // keeps a missing dependency from surfacing as a first-call panic.
-func BuildImage(encoded []byte, tgt *target.Desc, jopts jit.Options) (*Image, error) {
+func BuildImage(encoded []byte, tgt *target.Desc, jopts jit.Options, cfg ImageConfig) (*Image, error) {
 	mod, err := cil.Decode(encoded)
 	if err != nil {
 		return nil, err
 	}
-	if err := requireNoImports(mod); err != nil {
-		return nil, err
+	if len(mod.Imports) > 0 {
+		return nil, fmt.Errorf("core: module %q imports %d other module(s); deploy it as a link set so cross-module calls resolve at link time", mod.Name, len(mod.Imports))
 	}
-	return ImageFromModule(mod, tgt, jopts)
-}
-
-// requireNoImports rejects standalone deployment of a module whose calls
-// reach into other modules.
-func requireNoImports(mod *cil.Module) error {
-	if len(mod.Imports) == 0 {
-		return nil
-	}
-	return fmt.Errorf("core: module %q imports %d other module(s); deploy it as a link set so cross-module calls resolve at link time", mod.Name, len(mod.Imports))
-}
-
-// ImageFromModule verifies and JIT-compiles an already-decoded module. The
-// image keeps a reference to the module; callers that mutate the module
-// afterwards must pass a clone.
-func ImageFromModule(mod *cil.Module, tgt *target.Desc, jopts jit.Options) (*Image, error) {
 	if err := cil.Verify(mod); err != nil {
 		return nil, err
 	}
-	return ImageFromVerifiedModule(mod, tgt, jopts)
+	return NewImage(mod, tgt, jopts, cfg)
 }
 
-// ImageFromVerifiedModule JIT-compiles a module that has already passed
-// verification. Verification writes per-method results (MaxStack) into the
-// module, so callers building images for several targets concurrently must
-// verify once up front and use this entry point: the JIT itself only reads
-// the module.
-func ImageFromVerifiedModule(mod *cil.Module, tgt *target.Desc, jopts jit.Options) (*Image, error) {
-	start := time.Now()
-	prog, rep, err := jit.New(tgt, jopts).CompileModuleReport(mod)
-	if err != nil {
-		return nil, err
-	}
-	img := &Image{
-		Target:              tgt,
-		Module:              mod,
-		Program:             prog,
-		JITOpts:             jopts,
-		CompileNanos:        time.Since(start).Nanoseconds(),
-		AnnotationOutcomes:  rep.Outcomes,
-		AnnotationFallbacks: rep.Fallbacks,
-	}
-	for _, f := range prog.Funcs {
-		img.JITSteps += f.Stats.CompileSteps
-	}
-	return img, nil
-}
-
-// Instantiate creates a fresh machine executing the image. The machine owns
-// its memory and statistics; eager images share their immutable program
-// between machines, so concurrent instantiations are safe. Lazy images give
-// every machine its own program value — the machine patches it as methods
-// resolve — pre-seeded with whatever methods earlier deployments already
-// compiled, all resolving through the image's shared singleflight table.
-func (img *Image) Instantiate() *Deployment {
-	prog := img.Program
-	var machine *sim.Machine
-	if img.lazy != nil {
-		prog = nisa.NewProgram(img.Target.Name)
-		img.lazy.snapshot(prog)
-		machine = sim.New(img.Target, prog)
-		machine.SetResolver(lazyResolverFor(img))
-	} else {
-		machine = sim.New(img.Target, prog)
-	}
-	d := &Deployment{
-		Target:              img.Target,
-		Module:              img.Module,
-		Program:             prog,
-		JITOpts:             img.JITOpts,
-		Machine:             machine,
-		Image:               img,
-		JITSteps:            img.JITSteps,
-		CompileNanos:        img.CompileNanos,
-		AnnotationOutcomes:  img.AnnotationOutcomes,
-		AnnotationFallbacks: img.AnnotationFallbacks,
-	}
-	if envTier() {
-		d.EnableTiering(TierOptions{})
-	}
-	if ml := envMemLimit(); ml > 0 {
-		d.SetMemLimit(ml)
-	}
-	return d
-}
-
-// Deployment is a module deployed on one simulated target: the decoded and
-// verified module, the JIT-compiled native image and the machine executing
-// it.
+// Deployment is a link set deployed on one simulated target: the images of
+// its modules and the machine executing them.
 type Deployment struct {
-	Target  *target.Desc
+	Target *target.Desc
+	// Module is the set's root module (the first unit).
 	Module  *cil.Module
 	Program *nisa.Program
 	Machine *sim.Machine
-	// Image is the image this deployment was instantiated from; for lazy
-	// images it carries the live per-method compilation state
-	// (Image.CompileState, Image.MethodCounts).
-	Image *Image
+	// Link is the link set the machine spans — a single module is a set of
+	// one. Its images carry the live per-method compilation state, shared
+	// by every deployment of them.
+	Link *Linked
 	// JITOpts is the online-compiler configuration behind the deployed
 	// program (see Image.JITOpts).
 	JITOpts jit.Options
-
-	// JITSteps approximates the work the online compiler performed; with
-	// split compilation this stays small even when the generated code is
-	// aggressive.
-	JITSteps int64
-	// CompileNanos is the wall-clock JIT time behind this deployment's
-	// image (paid once per image; cache-hit deployments inherit the
-	// original compilation's cost figure).
-	CompileNanos int64
-
-	// AnnotationOutcomes and AnnotationFallbacks carry the image's
-	// load-time annotation negotiation result (see Image).
-	AnnotationOutcomes  []anno.MethodOutcome
-	AnnotationFallbacks int
 
 	// RunDeadline, when positive, bounds the wall-clock time of each run:
 	// the run context is derived with this timeout and the dispatch loop
 	// aborts on its cancellation stride, reporting a *sim.ResourceError of
 	// kind deadline (a caller-cancelled context still reports cancellation).
 	RunDeadline time.Duration
-
-	// linked is set on deployments instantiated from a link set; it lets
-	// EnsureCompiled span every unit, not just the root image.
-	linked *Linked
 
 	// Panic-firewall state (guard.go): quarantined marks a machine whose
 	// last run panicked, guard counts quarantines and rebuilds, and
@@ -330,68 +197,53 @@ type Deployment struct {
 	tierOpts    *TierOptions
 }
 
-// EnsureCompiled forces a lazy deployment fully compiled, as if every
-// method (of every unit, on linked deployments) had already taken its first
-// call: each resolution is the usual singleflight JIT, and the resulting
-// code is patched into this deployment's program, including the
-// hash-qualified alias symbols cross-module call sites use. Afterwards the
-// code-derived statistics — NativeCodeBytes, SpillSummary, SpillWeight,
-// JITSteps — equal those of an eager deployment of the same module(s).
-// Eager deployments are a no-op. Cancelling ctx aborts between methods,
-// leaving the usual consistent partial state.
+// EnsureCompiled resolves every method of every unit not resolved yet, as
+// if each had already taken its first call — the usual singleflight JIT,
+// over each image's bounded worker pool — and patches the results into this
+// deployment's program, including the hash-qualified alias symbols
+// cross-module call sites use. Afterwards the code-derived statistics
+// (NativeCodeBytes, SpillSummary, SpillWeight, the set's JITSteps and
+// annotation report) equal those of an eager deployment of the same
+// module(s). Cancelling ctx aborts between methods, leaving the usual
+// consistent partial state.
 func (d *Deployment) EnsureCompiled(ctx context.Context) error {
-	if d.linked != nil {
-		if err := d.linked.ensureCompiled(ctx, d.Program); err != nil {
+	for _, u := range d.Link.Units {
+		if err := u.Image.CompileAll(ctx); err != nil {
 			return err
 		}
-		var steps int64
-		for _, u := range d.linked.Units {
-			steps += u.Image.JITSteps + u.Image.LazyJITSteps()
-		}
-		d.JITSteps = steps
-		return nil
 	}
-	if d.Image == nil || !d.Image.Lazy() {
-		return nil
-	}
-	for _, m := range d.Module.Methods {
-		f, err := d.Image.ResolveMethod(ctx, m.Name)
-		if err != nil {
-			return err
-		}
-		d.Program.Funcs[m.Name] = f
-	}
-	d.JITSteps = d.Image.JITSteps + d.Image.LazyJITSteps()
+	d.Link.fill(d.Program)
 	return nil
 }
 
 // Deploy decodes, verifies and JIT-compiles an encoded module for a target,
-// then instantiates a machine for it. Callers that deploy the same module
-// repeatedly should build an Image once (or use the pkg/splitvm engine,
-// which caches images) and instantiate it per deployment. With SPLITVM_LAZY
-// set the image is built lazy — methods JIT on first call — which never
-// changes results or simulated cycles, only when compile time is paid.
+// then instantiates a machine for it: the internal harness entry point. It
+// is the one place in this package that applies the process-wide overrides
+// (EnvOverrides): SPLITVM_LAZY builds the image lazy — which never changes
+// results or simulated cycles, only when compile time is paid —,
+// SPLITVM_COMPILE_WORKERS sizes the pool when jopts leaves it zero, and
+// SPLITVM_TIER and SPLITVM_MEM_LIMIT configure the machine. Callers that
+// deploy the same module repeatedly should use the pkg/splitvm engine,
+// which caches images.
 func Deploy(encoded []byte, tgt *target.Desc, jopts jit.Options) (*Deployment, error) {
-	mod, err := cil.Decode(encoded)
+	env := EnvOverrides()
+	if jopts.CompileWorkers == 0 {
+		jopts.CompileWorkers = env.CompileWorkers
+	}
+	img, err := BuildImage(encoded, tgt, jopts, ImageConfig{Lazy: env.Lazy})
 	if err != nil {
 		return nil, err
 	}
-	if err := requireNoImports(mod); err != nil {
-		return nil, err
-	}
-	if err := cil.Verify(mod); err != nil {
-		return nil, err
-	}
-	var img *Image
-	if envLazy() {
-		img, err = LazyImageFromVerifiedModule(mod, tgt, jopts)
-	} else {
-		img, err = ImageFromVerifiedModule(mod, tgt, jopts)
-	}
+	ls, err := NewLinked([]LinkUnit{{Hash: HashModule(encoded), Image: img}})
 	if err != nil {
 		return nil, err
 	}
-	return img.Instantiate(), nil
+	d := ls.Instantiate()
+	if env.Tier {
+		d.EnableTiering(TierOptions{})
+	}
+	d.SetMemLimit(env.MemLimit)
+	return d, nil
 }
 
 // Run executes an entry point on the deployment's machine, behind the panic

@@ -93,7 +93,7 @@ func TestDeployAndRun(t *testing.T) {
 		if out.I != 14850 {
 			t.Errorf("weight(100) on %s = %d, want 14850", tgt.Name, out.I)
 		}
-		if dep.Cycles() == 0 || dep.JITSteps == 0 || dep.NativeCodeBytes() == 0 {
+		if dep.Cycles() == 0 || dep.Link.Summary().JITSteps == 0 || dep.NativeCodeBytes() == 0 {
 			t.Error("deployment statistics missing")
 		}
 		dep.ResetCycles()

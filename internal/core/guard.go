@@ -14,30 +14,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
-	"sync"
 
 	"repro/internal/sim"
 )
-
-// envMemLimit is the SPLITVM_MEM_LIMIT override, read once per process: a
-// positive byte count governs the guest memory of every instantiated
-// deployment. CI uses it to prove the governor's zero-drift property — the
-// full gated benchmark suite runs generously governed and must match the
-// ungoverned baseline exactly — without threading an option through every
-// harness (the same pattern as SPLITVM_TIER and SPLITVM_LAZY).
-var envMemLimit = sync.OnceValue(func() int64 {
-	v := os.Getenv("SPLITVM_MEM_LIMIT")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-})
 
 // PanicError is a guest panic recovered at the run boundary: the run failed,
 // the machine was quarantined, and the next run gets a rebuilt machine.
@@ -82,30 +61,17 @@ func (d *Deployment) SetMemLimit(bytes int64) {
 // MemLimit returns the configured guest memory limit (0 = ungoverned).
 func (d *Deployment) MemLimit() int64 { return d.memLimit }
 
-// rebuild replaces a quarantined machine with a fresh one. Deployments
-// instantiated from an image (or a link set) rebuild exactly like a new
-// instantiation — sharing the cached native code, re-wiring the lazy
-// resolver — and the per-machine configuration that is not part of the
-// image (tiering, memory limit) is re-applied from what the deployment
-// remembers. Machines constructed directly over a program fall back to a
-// fresh machine on the same program.
+// rebuild replaces a quarantined machine with a fresh one, exactly like a
+// new instantiation of the deployment's link set — sharing the images'
+// native code, re-wiring the resolver — and re-applies the per-machine
+// configuration that is not part of the images (tiering, memory limit).
 func (d *Deployment) rebuild() {
-	switch {
-	case d.linked != nil:
-		nd := d.linked.Instantiate()
-		d.Machine, d.Program = nd.Machine, nd.Program
-	case d.Image != nil:
-		nd := d.Image.Instantiate()
-		d.Machine, d.Program = nd.Machine, nd.Program
-	default:
-		d.Machine = sim.New(d.Target, d.Program)
-	}
+	nd := d.Link.Instantiate()
+	d.Machine, d.Program = nd.Machine, nd.Program
 	if d.tierOpts != nil {
 		d.EnableTiering(*d.tierOpts)
 	}
-	if d.memLimit > 0 {
-		d.Machine.MemLimit = d.memLimit
-	}
+	d.Machine.MemLimit = d.memLimit
 	d.quarantined = false
 	d.guard.Rebuilds++
 }

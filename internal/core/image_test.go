@@ -7,28 +7,30 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cil"
 	"repro/internal/jit"
 	"repro/internal/kernels"
 	"repro/internal/target"
 )
 
-// lazyDeploy builds a lazy deployment from an encoded byte stream — the
-// exact construction core.Deploy performs under SPLITVM_LAZY=1.
-func lazyDeploy(t *testing.T, encoded []byte, tgt *target.Desc, jopts jit.Options) *Deployment {
+// lazyImage builds a lazy image from an encoded byte stream — the exact
+// construction core.Deploy performs under SPLITVM_LAZY=1.
+func lazyImage(t *testing.T, encoded []byte, tgt *target.Desc, jopts jit.Options, onCompile func(string, int64, bool)) *Image {
 	t.Helper()
-	mod, err := cil.Decode(encoded)
+	img, err := BuildImage(encoded, tgt, jopts, ImageConfig{Lazy: true, OnCompile: onCompile})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cil.Verify(mod); err != nil {
-		t.Fatal(err)
-	}
-	img, err := LazyImageFromVerifiedModule(mod, tgt, jopts)
+	return img
+}
+
+// instantiate deploys one image as a link set of one.
+func instantiate(t *testing.T, img *Image) *Deployment {
+	t.Helper()
+	ls, err := NewLinked([]LinkUnit{{Image: img}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img.Instantiate()
+	return ls.Instantiate()
 }
 
 // TestLazyEagerTable1Differential is the acceptance differential: every
@@ -59,7 +61,7 @@ func TestLazyEagerTable1Differential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s on %s: eager deploy: %v", name, vectorize.label, tgt.Arch, err)
 				}
-				lazy := lazyDeploy(t, res.Encoded, tgt, jopts)
+				lazy := instantiate(t, lazyImage(t, res.Encoded, tgt, jopts, nil))
 				re, err := eager.RunKernel(k, in)
 				if err != nil {
 					t.Fatalf("%s %s on %s: eager run: %v", name, vectorize.label, tgt.Arch, err)
@@ -92,16 +94,15 @@ func TestLazyResolveCancelledLeavesStub(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt := target.MustLookup(target.X86SSE)
-	dep := lazyDeploy(t, res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
-	img := dep.Image
+	img := lazyImage(t, res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit}, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := img.ResolveMethod(ctx, "idsq"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled resolve = %v, want context.Canceled", err)
 	}
-	if compiled, total := img.MethodCounts(); compiled != 0 || total != 1 {
-		t.Fatalf("counts after cancelled resolve = %d/%d, want 0/1", compiled, total)
+	if s := img.Summary(); s.Compiled != 0 || s.Total != 1 {
+		t.Fatalf("counts after cancelled resolve = %d/%d, want 0/1", s.Compiled, s.Total)
 	}
 	if st := img.CompileState()["idsq"]; st.State != MethodStub {
 		t.Fatalf("state after cancelled resolve = %v, want stub", st.State)
@@ -109,7 +110,7 @@ func TestLazyResolveCancelledLeavesStub(t *testing.T) {
 	if _, err := img.ResolveMethod(context.Background(), "idsq"); err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
-	if compiled, _ := img.MethodCounts(); compiled != 1 {
+	if img.Summary().Compiled != 1 {
 		t.Fatal("retry did not compile the method")
 	}
 }
@@ -122,12 +123,9 @@ func TestLazyResolveSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt := target.MustLookup(target.X86SSE)
-	dep := lazyDeploy(t, res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
-	img := dep.Image
-
 	var mu sync.Mutex
 	compiles := 0
-	img.OnLazyCompile(func(string, int64, bool) {
+	img := lazyImage(t, res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit}, func(string, int64, bool) {
 		mu.Lock()
 		compiles++
 		mu.Unlock()

@@ -7,24 +7,25 @@ import (
 	"sort"
 
 	"repro/internal/cil"
+	"repro/internal/jit"
 	"repro/internal/minic"
 	"repro/internal/nisa"
 	"repro/internal/sim"
 )
 
-// LinkUnit is one module of a link set: its image (eager or lazy) plus the
-// content hash of its encoded bytes — the identity its dependents' import
-// tables name it by.
+// LinkUnit is one module of a link set: its image plus the content hash of
+// its encoded bytes — the identity its dependents' import tables name it by.
 type LinkUnit struct {
 	Hash  [cil.HashSize]byte
 	Image *Image
 }
 
 // Linked is a validated set of images whose cross-module calls all resolve
-// at link time. NewLinked proves that every import names a unit of the set
-// and an existing method with a matching signature, so instantiated
-// deployments can never hit an unresolvable callee at run time — a missing
-// dependency is a link error, not a first-call panic.
+// at link time — the one deploy model: a single module is a link set of one.
+// NewLinked proves that every import names a unit of the set and an
+// existing method with a matching signature, so instantiated deployments can
+// never hit an unresolvable callee at run time — a missing dependency is a
+// link error, not a first-call panic.
 //
 // Method names are globally unique across the set (enforced by NewLinked):
 // entry points are called by their plain name, and hash-qualified import
@@ -36,88 +37,109 @@ type Linked struct {
 	byName map[string]int // plain method name → owning unit index
 }
 
-// NewLinked validates a link set. All units must target the same processor
-// with the same JIT options (they share one machine), every import hash must
-// name a unit of the set whose module has the imported methods with matching
-// signatures, and method names must be unique across the set.
-func NewLinked(units []LinkUnit) (*Linked, error) {
-	if len(units) == 0 {
-		return nil, fmt.Errorf("core: link set is empty")
+// CheckLinkSet validates a set of modules, identified by the content hashes
+// of their encodings: no module appears twice, method names are unique
+// across the set, and every import names a member of the set whose module
+// defines the imported methods with matching signatures.
+func CheckLinkSet(mods []*cil.Module, hashes [][cil.HashSize]byte) error {
+	_, _, err := linkTables(mods, hashes)
+	return err
+}
+
+// linkTables validates a link set (see CheckLinkSet) and returns its symbol
+// tables: hash qualifier → module index and plain method name → module
+// index.
+func linkTables(mods []*cil.Module, hashes [][cil.HashSize]byte) (byQual, byName map[string]int, err error) {
+	if len(mods) == 0 {
+		return nil, nil, fmt.Errorf("core: link set is empty")
 	}
-	l := &Linked{
-		Units:  units,
-		byQual: make(map[string]int, len(units)),
-		byName: make(map[string]int),
-	}
-	first := units[0].Image
-	byHash := make(map[[cil.HashSize]byte]int, len(units))
-	for i, u := range units {
-		img := u.Image
-		// Compare descriptors by value: cached images each hold a private
-		// copy of the descriptor they were keyed under, so pointer identity
-		// would spuriously reject identical targets.
-		if *img.Target != *first.Target {
-			return nil, fmt.Errorf("core: link set mixes targets %q and %q", first.Target.Name, img.Target.Name)
+	byQual = make(map[string]int, len(mods))
+	byName = make(map[string]int)
+	byHash := make(map[[cil.HashSize]byte]int, len(mods))
+	for i, mod := range mods {
+		if _, dup := byHash[hashes[i]]; dup {
+			return nil, nil, fmt.Errorf("core: link set contains module %q twice (hash %x)", mod.Name, hashes[i][:8])
 		}
-		if img.JITOpts != first.JITOpts {
-			return nil, fmt.Errorf("core: link set mixes JIT options across modules %q and %q", first.Module.Name, img.Module.Name)
+		byHash[hashes[i]] = i
+		qual := cil.HashQualifier(hashes[i])
+		if prev, dup := byQual[qual]; dup {
+			return nil, nil, fmt.Errorf("core: modules %q and %q collide on hash qualifier %s", mods[prev].Name, mod.Name, qual)
 		}
-		if _, dup := byHash[u.Hash]; dup {
-			return nil, fmt.Errorf("core: link set contains module %q twice (hash %x)", img.Module.Name, u.Hash[:8])
-		}
-		byHash[u.Hash] = i
-		qual := cil.HashQualifier(u.Hash)
-		if prev, dup := l.byQual[qual]; dup {
-			return nil, fmt.Errorf("core: modules %q and %q collide on hash qualifier %s",
-				units[prev].Image.Module.Name, img.Module.Name, qual)
-		}
-		l.byQual[qual] = i
-		for _, m := range img.Module.Methods {
-			if prev, dup := l.byName[m.Name]; dup {
-				return nil, fmt.Errorf("core: method %q defined by both %q and %q; method names must be unique across a link set",
-					m.Name, units[prev].Image.Module.Name, img.Module.Name)
+		byQual[qual] = i
+		for _, m := range mod.Methods {
+			if prev, dup := byName[m.Name]; dup {
+				return nil, nil, fmt.Errorf("core: method %q defined by both %q and %q; method names must be unique across a link set",
+					m.Name, mods[prev].Name, mod.Name)
 			}
-			l.byName[m.Name] = i
+			byName[m.Name] = i
 		}
 	}
-	// Every import of every unit must resolve inside the set, method by
+	// Every import of every module must resolve inside the set, method by
 	// method, signature by signature.
-	for _, u := range units {
-		mod := u.Image.Module
+	for _, mod := range mods {
 		for i := range mod.Imports {
 			im := &mod.Imports[i]
 			j, ok := byHash[im.Hash]
 			if !ok {
-				return nil, fmt.Errorf("core: module %q imports %q (hash %x) which is not in the link set",
+				return nil, nil, fmt.Errorf("core: module %q imports %q (hash %x) which is not in the link set",
 					mod.Name, im.Module, im.Hash[:8])
 			}
-			dep := units[j].Image.Module
+			dep := mods[j]
 			for _, want := range im.Methods {
 				got := dep.Method(want.Name)
 				if got == nil {
-					return nil, fmt.Errorf("core: module %q imports method %q from %q, which does not define it",
+					return nil, nil, fmt.Errorf("core: module %q imports method %q from %q, which does not define it",
 						mod.Name, want.Name, dep.Name)
 				}
-				if !sameSignature(got.Params, got.Ret, want.Params, want.Ret) {
-					return nil, fmt.Errorf("core: module %q imports %q.%s with a signature that does not match the linked module",
+				if !sameSignature(got, want) {
+					return nil, nil, fmt.Errorf("core: module %q imports %q.%s with a signature that does not match the linked module",
 						mod.Name, dep.Name, want.Name)
 				}
 			}
 		}
 	}
-	return l, nil
+	return byQual, byName, nil
 }
 
-func sameSignature(params []cil.Type, ret cil.Type, wantParams []cil.Type, wantRet cil.Type) bool {
-	if len(params) != len(wantParams) || ret != wantRet {
+func sameSignature(got *cil.Method, want cil.ImportedMethod) bool {
+	if len(got.Params) != len(want.Params) || got.Ret != want.Ret {
 		return false
 	}
-	for i := range params {
-		if params[i] != wantParams[i] {
+	for i := range got.Params {
+		if got.Params[i] != want.Params[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// NewLinked validates a link set of images (see CheckLinkSet). All units
+// must target the same processor with the same code-shaping JIT options:
+// they share one machine.
+func NewLinked(units []LinkUnit) (*Linked, error) {
+	mods := make([]*cil.Module, len(units))
+	hashes := make([][cil.HashSize]byte, len(units))
+	for i, u := range units {
+		img, first := u.Image, units[0].Image
+		// Compare descriptors by value: cached images each hold a private
+		// copy of the descriptor they were keyed under, so pointer identity
+		// would spuriously reject identical targets. The worker count never
+		// changes code, so it may differ between cached units.
+		if *img.Target != *first.Target {
+			return nil, fmt.Errorf("core: link set mixes targets %q and %q", first.Target.Name, img.Target.Name)
+		}
+		a, b := img.JITOpts, first.JITOpts
+		a.CompileWorkers, b.CompileWorkers = 0, 0
+		if a != b {
+			return nil, fmt.Errorf("core: link set mixes JIT options across modules %q and %q", first.Module.Name, img.Module.Name)
+		}
+		mods[i], hashes[i] = img.Module, u.Hash
+	}
+	byQual, byName, err := linkTables(mods, hashes)
+	if err != nil {
+		return nil, err
+	}
+	return &Linked{Units: units, byQual: byQual, byName: byName}, nil
 }
 
 // Lazy reports whether any unit of the set compiles methods on first call.
@@ -130,34 +152,32 @@ func (l *Linked) Lazy() bool {
 	return false
 }
 
-// unitFor maps a call symbol — a plain method name or a hash-qualified
-// import symbol — to the owning unit and the method's plain name.
-func (l *Linked) unitFor(sym string) (*Image, string, error) {
+// Method returns the named method of whichever unit defines it, or nil.
+func (l *Linked) Method(name string) *cil.Method {
+	if i, ok := l.byName[name]; ok {
+		return l.Units[i].Image.Module.Method(name)
+	}
+	return nil
+}
+
+// ResolveMethod resolves a call symbol — a plain method name or a
+// hash-qualified import symbol — through the owning unit's image, which
+// compiles the method on first use. Resolution is singleflight per (image,
+// method) however many deployments need it.
+func (l *Linked) ResolveMethod(ctx context.Context, sym string) (*nisa.Func, error) {
 	name := sym
+	i, ok := l.byName[sym]
 	if cil.IsImportSym(sym) {
 		var qual string
 		name, qual = cil.SplitImportSym(sym)
-		if i, ok := l.byQual[qual]; ok {
-			return l.Units[i].Image, name, nil
+		if i, ok = l.byQual[qual]; !ok {
+			return nil, fmt.Errorf("core: link set has no module with qualifier %q (symbol %q)", qual, sym)
 		}
-		return nil, "", fmt.Errorf("core: link set has no module with qualifier %q (symbol %q)", qual, sym)
 	}
-	if i, ok := l.byName[sym]; ok {
-		return l.Units[i].Image, name, nil
+	if !ok {
+		return nil, fmt.Errorf("core: unknown method %q in link set", sym)
 	}
-	return nil, "", fmt.Errorf("core: unknown method %q in link set", sym)
-}
-
-// ResolveMethod resolves a call symbol through the link set: the owning
-// unit's image compiles the method on first use if it is lazy. Resolution is
-// singleflight per (image, method) regardless of how many deployments —
-// across the set's symbols — need it.
-func (l *Linked) ResolveMethod(ctx context.Context, sym string) (*nisa.Func, error) {
-	img, name, err := l.unitFor(sym)
-	if err != nil {
-		return nil, err
-	}
-	return img.ResolveMethod(ctx, name)
+	return l.Units[i].Image.ResolveMethod(ctx, name)
 }
 
 // CompileState reports the per-method state of every unit, keyed by the
@@ -172,111 +192,71 @@ func (l *Linked) CompileState() map[string]MethodCompileState {
 	return out
 }
 
-// MethodCounts sums Image.MethodCounts over the set.
-func (l *Linked) MethodCounts() (compiled, total int) {
+// Summary totals the per-method tables of every unit.
+func (l *Linked) Summary() ImageSummary {
+	var s ImageSummary
 	for _, u := range l.Units {
-		c, t := u.Image.MethodCounts()
-		compiled += c
-		total += t
+		us := u.Image.Summary()
+		s.Compiled += us.Compiled
+		s.FromStore += us.FromStore
+		s.Total += us.Total
+		s.JITSteps += us.JITSteps
+		s.CompileNanos += us.CompileNanos
 	}
-	return compiled, total
+	return s
 }
 
-// LazyCompileNanos sums the first-call compile time spent so far across the
-// set's lazy units (zero for all-eager sets).
-func (l *Linked) LazyCompileNanos() int64 {
-	var total int64
+// Report concatenates the units' annotation-negotiation reports in link
+// order.
+func (l *Linked) Report() *jit.Report {
+	rep := &jit.Report{}
 	for _, u := range l.Units {
-		total += u.Image.LazyCompileNanos()
+		ur := u.Image.Report()
+		rep.Outcomes = append(rep.Outcomes, ur.Outcomes...)
+		rep.Fallbacks += ur.Fallbacks
 	}
-	return total
+	return rep
 }
 
-// ensureCompiled resolves every method of every unit and patches prog with
-// the results, plain names and import-symbol aliases alike — the bulk
-// counterpart of the machine resolver's one-symbol-at-a-time patching.
-func (l *Linked) ensureCompiled(ctx context.Context, prog *nisa.Program) error {
+// fill copies every resolved method of the set into prog under its plain
+// name, plus alias entries for the hash-qualified symbols cross-module call
+// sites use; the rest resolve through the machine's resolver.
+func (l *Linked) fill(prog *nisa.Program) {
 	for _, u := range l.Units {
-		for _, m := range u.Image.Module.Methods {
-			f, err := u.Image.ResolveMethod(ctx, m.Name)
-			if err != nil {
-				return err
-			}
-			prog.Funcs[m.Name] = f
-		}
+		u.Image.snapshot(prog)
 	}
 	for _, u := range l.Units {
 		mod := u.Image.Module
 		for i := range mod.Imports {
 			im := &mod.Imports[i]
 			for _, want := range im.Methods {
-				sym := cil.ImportSym(im.Hash, want.Name)
 				if f := prog.Funcs[want.Name]; f != nil {
-					prog.Funcs[sym] = f
+					prog.Funcs[cil.ImportSym(im.Hash, want.Name)] = f
 				}
 			}
 		}
 	}
-	return nil
 }
 
-// Instantiate creates a machine spanning the whole link set: one program
-// holding every resolved method under its plain name plus alias entries for
-// the hash-qualified symbols cross-module call sites use. Eager sets start
-// fully populated; lazy sets start with whatever is ready and resolve the
-// rest on first call.
+// Instantiate creates a fresh machine spanning the whole link set. Every
+// machine gets its own program — the resolver patches it as methods resolve
+// — pre-seeded with whatever methods the set's images already hold, all
+// resolving through the images' shared singleflight tables. The machine
+// owns its memory and statistics, so concurrent instantiations are safe.
 func (l *Linked) Instantiate() *Deployment {
 	root := l.Units[0].Image
 	prog := nisa.NewProgram(root.Target.Name)
-	for _, u := range l.Units {
-		if u.Image.lazy != nil {
-			u.Image.lazy.snapshot(prog)
-		} else {
-			for name, f := range u.Image.Program.Funcs {
-				prog.Funcs[name] = f
-			}
-		}
-	}
-	// Alias every import symbol that already has resolved code; the rest
-	// resolve through the machine's resolver.
-	for _, u := range l.Units {
-		mod := u.Image.Module
-		for i := range mod.Imports {
-			im := &mod.Imports[i]
-			for _, want := range im.Methods {
-				sym := cil.ImportSym(im.Hash, want.Name)
-				if f := prog.Funcs[want.Name]; f != nil {
-					prog.Funcs[sym] = f
-				}
-			}
-		}
-	}
+	l.fill(prog)
 	machine := sim.New(root.Target, prog)
-	machine.SetResolver(func(ctx context.Context, sym string) (*nisa.Func, error) {
-		return l.ResolveMethod(ctx, sym)
-	})
-	d := &Deployment{
+	machine.SetResolver(l.ResolveMethod)
+	return &Deployment{
 		Target:  root.Target,
 		Module:  root.Module,
 		Program: prog,
 		JITOpts: root.JITOpts,
 		Machine: machine,
-		Image:   root,
-		linked:  l,
+		Link:    l,
 	}
-	for _, u := range l.Units {
-		d.JITSteps += u.Image.JITSteps
-		d.CompileNanos += u.Image.CompileNanos
-		d.AnnotationOutcomes = append(d.AnnotationOutcomes, u.Image.AnnotationOutcomes...)
-		d.AnnotationFallbacks += u.Image.AnnotationFallbacks
-	}
-	if envTier() {
-		d.EnableTiering(TierOptions{})
-	}
-	if ml := envMemLimit(); ml > 0 {
-		d.SetMemLimit(ml)
-	}
-	return d
 }
 
 // HashModule returns the content hash link sets identify a module by: the

@@ -10,9 +10,7 @@ package core
 // across the Table 1 matrix).
 
 import (
-	"os"
 	"reflect"
-	"sync"
 
 	"repro/internal/cil"
 	"repro/internal/jit"
@@ -83,13 +81,3 @@ func (d *Deployment) reallocController() sim.PromoteFunc {
 		return sim.PromoteResult{ReallocChecked: true, ReallocConfirmed: confirmed}
 	}
 }
-
-// envTier is the SPLITVM_TIER override, read once per process: "1" (or
-// "on") enables tiering with the default policy on every instantiated
-// deployment. CI uses it to prove the zero-drift property — the full gated
-// benchmark suite runs with tiering enabled and must match the baseline
-// exactly — without threading an option through every harness.
-var envTier = sync.OnceValue(func() bool {
-	v := os.Getenv("SPLITVM_TIER")
-	return v == "1" || v == "on"
-})

@@ -30,12 +30,12 @@ func TestTieringBitIdenticalAcrossTable1(t *testing.T) {
 		}
 		for _, tgt := range target.Table1() {
 			for _, mode := range modes {
-				img, err := BuildImage(res.Encoded, tgt, jit.Options{RegAlloc: mode})
+				img, err := BuildImage(res.Encoded, tgt, jit.Options{RegAlloc: mode}, ImageConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain := img.Instantiate()
-				tiered := img.Instantiate()
+				plain := instantiate(t, img)
+				tiered := instantiate(t, img)
 				tiered.EnableTiering(TierOptions{Policy: profile.Policy{PromoteCalls: 2}})
 				for call := 0; call < 3; call++ {
 					rp, errP := plain.RunKernel(k, in)
@@ -89,12 +89,12 @@ func TestTieringWarmStartAcrossDeployments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := BuildImage(res.Encoded, target.MustLookup(target.X86SSE), jit.Options{RegAlloc: jit.RegAllocSplit})
+	img, err := BuildImage(res.Encoded, target.MustLookup(target.X86SSE), jit.Options{RegAlloc: jit.RegAllocSplit}, ImageConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	exporter := img.Instantiate()
+	exporter := instantiate(t, img)
 	exporter.EnableTiering(TierOptions{Policy: profile.Policy{PromoteCalls: -1}})
 	for call := 0; call < 8; call++ {
 		if _, err := exporter.RunKernel(k, in); err != nil {
@@ -107,9 +107,9 @@ func TestTieringWarmStartAcrossDeployments(t *testing.T) {
 	}
 
 	const threshold = 5
-	cold := img.Instantiate()
+	cold := instantiate(t, img)
 	cold.EnableTiering(TierOptions{Policy: profile.Policy{PromoteCalls: threshold}})
-	warm := img.Instantiate()
+	warm := instantiate(t, img)
 	warm.EnableTiering(TierOptions{Policy: profile.Policy{PromoteCalls: threshold}, Profile: exported})
 
 	for call := 0; call < threshold; call++ {

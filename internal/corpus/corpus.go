@@ -385,11 +385,12 @@ func VerifyEntry(dir string, e Entry) error {
 		}
 
 		wantFallbacks := e.Kernel == SyntheticKernel || e.Kernel == ProfiledFutureKernel
-		if wantFallbacks && annotated.AnnotationFallbacks == 0 {
+		rep := annotated.Link.Report()
+		if wantFallbacks && rep.Fallbacks == 0 {
 			return fmt.Errorf("%s on %s: future annotation did not register a fallback", e.File, arch)
 		}
-		if !wantFallbacks && annotated.AnnotationFallbacks != 0 {
-			return fmt.Errorf("%s on %s: unexpected annotation fallbacks: %+v", e.File, arch, annotated.AnnotationOutcomes)
+		if !wantFallbacks && rep.Fallbacks != 0 {
+			return fmt.Errorf("%s on %s: unexpected annotation fallbacks: %+v", e.File, arch, rep.Outcomes)
 		}
 
 		if e.Kernel == SyntheticKernel || e.Kernel == ProfiledKernel || e.Kernel == ProfiledFutureKernel {

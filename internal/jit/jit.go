@@ -19,9 +19,7 @@ package jit
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -78,9 +76,9 @@ type Options struct {
 	// understand. Zero (the default) accepts everything, including the
 	// grandfathered v0 streams.
 	MinAnnotationVersion uint32
-	// CompileWorkers bounds the number of methods CompileModuleReport
-	// compiles concurrently. Zero (the default) uses GOMAXPROCS; negative
-	// or 1 compiles sequentially. The generated program is bit-identical
+	// CompileWorkers bounds the number of methods compiled concurrently
+	// (see ForEach). Zero (the default) uses GOMAXPROCS; negative or 1
+	// compiles sequentially. The generated program is bit-identical
 	// regardless of the worker count — parallelism only changes wall-clock
 	// time, never code (see TestCompileDeterministicAcrossWorkers).
 	CompileWorkers int
@@ -112,8 +110,8 @@ type Report struct {
 	Fallbacks int
 }
 
-// add records one method's negotiation outcomes.
-func (rep *Report) add(method string, outcomes []anno.Outcome) {
+// Add records one method's negotiation outcomes.
+func (rep *Report) Add(method string, outcomes []anno.Outcome) {
 	for _, out := range outcomes {
 		rep.Outcomes = append(rep.Outcomes, anno.MethodOutcome{Method: method, Outcome: out})
 		if out.Fallback {
@@ -129,41 +127,62 @@ func (c *Compiler) CompileModule(mod *cil.Module) (*nisa.Program, error) {
 	return prog, err
 }
 
-// envCompileWorkers is the SPLITVM_COMPILE_WORKERS override, read once: it
-// lets a whole process (CI proving workers=1 vs workers=N equivalence, a
-// benchmark sweep) pin the worker pool without threading an option through
-// every caller. Options.CompileWorkers still wins when set.
-var envCompileWorkers = sync.OnceValue(func() int {
-	n, err := strconv.Atoi(os.Getenv("SPLITVM_COMPILE_WORKERS"))
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
-})
-
-// DefaultCompileWorkers is the worker count used when Options.CompileWorkers
-// is zero: the SPLITVM_COMPILE_WORKERS environment override when set,
-// otherwise GOMAXPROCS.
-func DefaultCompileWorkers() int {
-	if n := envCompileWorkers(); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// compileWorkers resolves the worker count for a module of n methods.
-func (c *Compiler) compileWorkers(methods int) int {
+// workers resolves the size of the compiler's worker pool for n
+// independent jobs: Options.CompileWorkers, GOMAXPROCS when that is zero,
+// never more than n and never less than one.
+func (c *Compiler) workers(n int) int {
 	w := c.Opts.CompileWorkers
 	if w == 0 {
-		w = DefaultCompileWorkers()
+		w = runtime.GOMAXPROCS(0)
 	}
-	if w > methods {
-		w = methods
+	if w > n {
+		w = n
 	}
 	if w < 1 {
 		w = 1
 	}
 	return w
+}
+
+// ForEach runs fn(i) for every i in [0, n) over the compiler's bounded
+// worker pool (see workers), inline when the pool has one worker. Jobs are
+// handed out in index order; callers that write results by index get a
+// deterministic assembly regardless of which worker finished first.
+func (c *Compiler) ForEach(n int, fn func(i int)) {
+	workers := c.workers(n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// NegotiateModule runs the load-time negotiation of the module-level
+// annotations (Method "" in a report). The execution profile is not consumed
+// by the JIT — tiering imports it at deploy time — but a stream carrying one
+// the reader cannot negotiate must surface as a fallback, never as an error.
+func (c *Compiler) NegotiateModule(mod *cil.Module) []anno.Outcome {
+	if _, out, present := anno.ReadProfile(mod, c.Opts.MinAnnotationVersion); present {
+		return []anno.Outcome{out}
+	}
+	return nil
 }
 
 // methodResult is one slot of the parallel pipeline's output: results are
@@ -176,66 +195,29 @@ type methodResult struct {
 }
 
 // CompileModuleReport is CompileModule plus the annotation-negotiation
-// report of the build. Methods compile concurrently across a bounded worker
-// pool (Options.CompileWorkers); each worker reuses one pooled scratch state
-// for every method it compiles, and the emitted program is assembled in
-// module method order so the result is bit-identical to a sequential
-// compilation.
+// report of the build. Methods compile concurrently across the compiler's
+// bounded worker pool (ForEach), each on a pooled scratch state, and the
+// emitted program is assembled in module method order so the result is
+// bit-identical to a sequential compilation.
 func (c *Compiler) CompileModuleReport(mod *cil.Module) (*nisa.Program, *Report, error) {
-	prog := nisa.NewProgram(c.Target.Name)
-	rep := &Report{}
-	// Module-level annotations negotiate once per compilation (Method "" in
-	// the report). The execution profile is not consumed here — tiering
-	// imports it at deploy time — but a stream carrying one the reader
-	// cannot negotiate must surface as a fallback, never as an error.
-	if _, out, present := anno.ReadProfile(mod, c.Opts.MinAnnotationVersion); present {
-		rep.add("", []anno.Outcome{out})
-	}
 	methods := mod.Methods
-	workers := c.compileWorkers(len(methods))
-	if workers <= 1 {
-		st := getState()
-		defer putState(st)
-		for _, m := range methods {
-			f, outcomes, err := c.compileMethod(st, mod, m)
-			if err != nil {
-				return nil, nil, err
-			}
-			rep.add(m.Name, outcomes)
-			prog.Add(f)
-		}
-		return prog, rep, nil
-	}
-
 	results := make([]methodResult, len(methods))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := getState()
-			defer putState(st)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(methods) {
-					return
-				}
-				r := &results[i]
-				r.f, r.outcomes, r.err = c.compileMethod(st, mod, methods[i])
-			}
-		}()
-	}
-	wg.Wait()
+	c.ForEach(len(methods), func(i int) {
+		r := &results[i]
+		r.f, r.outcomes, r.err = c.CompileMethodReport(mod, methods[i])
+	})
 
 	// Deterministic assembly: module method order, first error wins (the
 	// same error a sequential compilation would have stopped on).
+	prog := nisa.NewProgram(c.Target.Name)
+	rep := &Report{}
+	rep.Add("", c.NegotiateModule(mod))
 	for i, m := range methods {
 		r := results[i]
 		if r.err != nil {
 			return nil, nil, r.err
 		}
-		rep.add(m.Name, r.outcomes)
+		rep.Add(m.Name, r.outcomes)
 		prog.Add(r.f)
 	}
 	return prog, rep, nil
@@ -248,11 +230,11 @@ func (c *Compiler) CompileMethod(mod *cil.Module, m *cil.Method) (*nisa.Func, er
 }
 
 // CompileMethodReport compiles a single method and returns its
-// annotation-negotiation outcomes. It is the entry point of lazy on-demand
-// compilation: the runtime calls it once per method on first call, and the
-// emitted code is bit-identical to the same method's slot in a
-// CompileModuleReport build (both run the same translate → register-assignment
-// pipeline on a pooled scratch state).
+// annotation-negotiation outcomes. It is the deployment runtime's unit of
+// compilation: every method of a deployed image is compiled by one call —
+// at deploy time or on its first call — and CompileModuleReport is the same
+// call fanned out over the worker pool, so the code never depends on which
+// of the two produced it.
 func (c *Compiler) CompileMethodReport(mod *cil.Module, m *cil.Method) (*nisa.Func, []anno.Outcome, error) {
 	st := getState()
 	defer putState(st)

@@ -218,7 +218,7 @@ func TestDeployHeteroHonorsMinVersionAndCounters(t *testing.T) {
 		t.Errorf("CompileStats.FallbackCompilations = %d, want 2 (v0 module below min version 1)", st.FallbackCompilations)
 	}
 	for _, core := range []string{sys.Host.Name} {
-		if d := rt.Deployment(core); d == nil || d.AnnotationFallbacks == 0 {
+		if d := rt.Deployment(core); d == nil || d.Link.Report().Fallbacks == 0 {
 			t.Errorf("core %s: min-version floor not applied (deployment %+v)", core, d)
 		}
 	}

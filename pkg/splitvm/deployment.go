@@ -19,9 +19,6 @@ type Deployment struct {
 	d         *core.Deployment
 	fromCache bool
 	fromDisk  bool
-	// linked is set on DeployLinked deployments: the validated link set the
-	// machine spans; per-method state queries then aggregate over its units.
-	linked *core.Linked
 }
 
 // KernelRun is the result of running a benchmark kernel once on a
@@ -42,12 +39,7 @@ func (dp *Deployment) FromDisk() bool { return dp.fromDisk }
 
 // Lazy reports whether this deployment compiles methods on their first call
 // (WithLazyCompile) instead of having compiled everything at deploy time.
-func (dp *Deployment) Lazy() bool {
-	if dp.linked != nil {
-		return dp.linked.Lazy()
-	}
-	return dp.d.Image != nil && dp.d.Image.Lazy()
-}
+func (dp *Deployment) Lazy() bool { return dp.d.Link.Lazy() }
 
 // MethodState is one method's position in the lazy compilation lifecycle.
 type MethodState = core.MethodState
@@ -63,34 +55,19 @@ const (
 type MethodCompileState = core.MethodCompileState
 
 // CompileState reports the per-method compilation state of the deployment's
-// image, shared by every deployment of that image: eager deployments report
-// every method ready, lazy ones the live stub/compiling/ready table.
+// images (every module of the set, on linked deployments), shared by every
+// deployment of them: eager deployments report every method ready, lazy
+// ones the live stub/compiling/ready table.
 func (dp *Deployment) CompileState() map[string]MethodCompileState {
-	if dp.linked != nil {
-		return dp.linked.CompileState()
-	}
-	if dp.d.Image != nil {
-		return dp.d.Image.CompileState()
-	}
-	out := make(map[string]MethodCompileState, len(dp.d.Module.Methods))
-	for _, m := range dp.d.Module.Methods {
-		out[m.Name] = MethodCompileState{State: core.MethodReady}
-	}
-	return out
+	return dp.d.Link.CompileState()
 }
 
 // MethodCounts returns how many of the deployment's methods have native
-// code and how many the module has in total. Eager deployments always
+// code and how many its modules have in total. Eager deployments always
 // report compiled == total; a fresh lazy deployment reports 0 compiled.
 func (dp *Deployment) MethodCounts() (compiled, total int) {
-	if dp.linked != nil {
-		return dp.linked.MethodCounts()
-	}
-	if dp.d.Image != nil {
-		return dp.d.Image.MethodCounts()
-	}
-	n := len(dp.d.Module.Methods)
-	return n, n
+	s := dp.d.Link.Summary()
+	return s.Compiled, s.Total
 }
 
 // AnnotationOutcome is the negotiated status of one annotation of one
@@ -127,51 +104,45 @@ type CompileReport struct {
 }
 
 // AnnotationFallbacks returns the number of annotation sections of this
-// deployment's image that degraded to online-only compilation — the
-// CompileReport headline without copying the per-method outcome list.
-func (dp *Deployment) AnnotationFallbacks() int { return dp.d.AnnotationFallbacks }
+// deployment's compiled methods that degraded to online-only compilation —
+// the CompileReport headline.
+func (dp *Deployment) AnnotationFallbacks() int { return dp.d.Link.Report().Fallbacks }
 
-// CompileReport returns the compilation report of this deployment's image.
-// On lazy deployments the report is a live snapshot: CompileNanos and the
-// method counts grow as first calls compile methods.
+// CompileReport returns the compilation report of this deployment's images.
+// It is a live snapshot of the per-method tables: on lazy deployments
+// CompileNanos, JITSteps, the method counts and the annotation outcomes
+// grow as first calls compile methods, and equal the eager deployment's
+// once every method is compiled.
 func (dp *Deployment) CompileReport() CompileReport {
-	compiled, total := dp.MethodCounts()
+	s := dp.d.Link.Summary()
+	rep := dp.d.Link.Report()
 	return CompileReport{
 		Target:              dp.d.Target.Name,
 		FromCache:           dp.fromCache,
-		JITSteps:            dp.d.JITSteps,
-		CompileNanos:        dp.CompileNanos(),
-		AnnotationOutcomes:  append([]AnnotationOutcome(nil), dp.d.AnnotationOutcomes...),
-		AnnotationFallbacks: dp.d.AnnotationFallbacks,
+		JITSteps:            s.JITSteps,
+		CompileNanos:        s.CompileNanos,
+		AnnotationOutcomes:  rep.Outcomes,
+		AnnotationFallbacks: rep.Fallbacks,
 		Lazy:                dp.Lazy(),
-		MethodsCompiled:     compiled,
-		MethodsTotal:        total,
+		MethodsCompiled:     s.Compiled,
+		MethodsTotal:        s.Total,
 	}
 }
 
-// CompileNanos returns the wall-clock time the JIT spent producing this
-// deployment's native code: the image compilation on eager deployments (the
-// original compilation's cost when the image came from the code cache), the
-// sum of the first-call method compilations so far on lazy ones.
-func (dp *Deployment) CompileNanos() int64 {
-	n := dp.d.CompileNanos
-	if dp.linked != nil {
-		return n + dp.linked.LazyCompileNanos()
-	}
-	if dp.d.Image != nil {
-		n += dp.d.Image.LazyCompileNanos()
-	}
-	return n
-}
+// CompileNanos returns the wall-clock JIT time behind this deployment's
+// compiled methods: the sum of each method's original compilation, also
+// when the code came from the engine's memory or disk cache.
+func (dp *Deployment) CompileNanos() int64 { return dp.d.Link.Summary().CompileNanos }
 
 // EnsureCompiled forces a lazy deployment fully compiled, as if every
 // method (of every linked unit) had already taken its first call: each
 // resolution is the usual singleflight JIT shared with every other
 // deployment of the image, so warming one canary this way warms the whole
 // fleet through the method store. Afterwards code-derived statistics
-// (NativeCodeBytes, SpillSummary, SpillWeight, JITSteps) equal the eager
-// deployment's. Eager deployments are a no-op; cancelling ctx aborts
-// between methods, leaving the usual consistent partial state.
+// (NativeCodeBytes, SpillSummary, SpillWeight, JITSteps) and the
+// CompileReport's annotation outcomes equal the eager deployment's. Eager
+// deployments are a no-op; cancelling ctx aborts between methods, leaving
+// the usual consistent partial state.
 func (dp *Deployment) EnsureCompiled(ctx context.Context) error {
 	return dp.d.EnsureCompiled(ctx)
 }
@@ -199,15 +170,7 @@ func (dp *Deployment) RunKernel(k Kernel, in *Inputs) (*KernelRun, error) {
 // Signature returns the signature of a named method of the deployed module
 // (any module of the set, on linked deployments).
 func (dp *Deployment) Signature(entry string) (Signature, error) {
-	if dp.linked != nil {
-		for _, u := range dp.linked.Units {
-			if meth := u.Image.Module.Method(entry); meth != nil {
-				return signatureOf(meth), nil
-			}
-		}
-		return Signature{}, fmt.Errorf("splitvm: no method %q in link set", entry)
-	}
-	meth := dp.d.Module.Method(entry)
+	meth := dp.d.Link.Method(entry)
 	if meth == nil {
 		return Signature{}, fmt.Errorf("splitvm: no method %q in module %s", entry, dp.d.Module.Name)
 	}
@@ -224,9 +187,9 @@ func (dp *Deployment) ResetCycles() { dp.d.ResetCycles() }
 func (dp *Deployment) Stats() Stats { return dp.d.Machine.Stats }
 
 // JITSteps approximates the work the online compiler performed for this
-// deployment's image; with split compilation this stays small even when the
-// generated code is aggressive.
-func (dp *Deployment) JITSteps() int64 { return dp.d.JITSteps }
+// deployment's compiled methods; with split compilation this stays small
+// even when the generated code is aggressive.
+func (dp *Deployment) JITSteps() int64 { return dp.d.Link.Summary().JITSteps }
 
 // SpillSummary sums the static spill statistics over all compiled
 // functions: spilled variables, spill loads and spill stores.

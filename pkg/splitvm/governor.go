@@ -14,9 +14,6 @@ package splitvm
 // ungoverned one, so governed and ungoverned deployments share images.
 
 import (
-	"os"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -63,8 +60,7 @@ type GuardStats = core.GuardStats
 // 0 (the default) leaves guest memory ungoverned. The limit is per machine
 // and deliberately not part of the code-cache key: accounting never
 // perturbs results or simulated cycles, so governed and ungoverned
-// deployments share images. SPLITVM_MEM_LIMIT sets the process-wide
-// default, like SPLITVM_TIER does for tiering.
+// deployments share images. SPLITVM_MEM_LIMIT sets the default.
 func WithMemLimit(bytes int64) DeployOption {
 	return deployOption(func(c *config) {
 		if bytes < 0 {
@@ -91,32 +87,11 @@ func WithRunDeadline(d time.Duration) DeployOption {
 	})
 }
 
-// envMemLimit is the SPLITVM_MEM_LIMIT override, read once per process: a
-// decimal byte count applied as the default guest memory limit of every
-// deployment, like SPLITVM_TIER does for tiering. CI uses it to prove the
-// governor's accounting never moves a gated metric. Unparsable values are
-// ignored.
-var envMemLimit = sync.OnceValue(func() int64 {
-	v := os.Getenv("SPLITVM_MEM_LIMIT")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-})
-
 // applyGovernor wires the resolved governor configuration onto a freshly
 // instantiated deployment (the per-machine half that is not in the image).
 func (c *config) applyGovernor(d *core.Deployment) {
-	if c.memLimit > 0 {
-		d.SetMemLimit(c.memLimit)
-	}
-	if c.runDeadline > 0 {
-		d.RunDeadline = c.runDeadline
-	}
+	d.SetMemLimit(c.memLimit)
+	d.RunDeadline = c.runDeadline
 }
 
 // GuardStats returns a snapshot of the deployment's panic-firewall

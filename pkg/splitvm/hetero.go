@@ -56,39 +56,27 @@ func CellLike() *System { return hetero.CellLike() }
 func EmbeddedSoC() *System { return hetero.EmbeddedSoC() }
 
 // DeployHetero deploys a module on every distinct core type of a
-// heterogeneous system under the given placement policy. The per-core JIT
-// compilations honor the engine's Deploy defaults plus any options given
-// here (the target always comes from the system's core descriptions), and
-// go through the engine's code cache, so a system with several accelerators
-// of the same kind compiles once — and repeated DeployHetero calls for the
-// same module reuse all native code.
+// heterogeneous system under the given placement policy. Every per-core
+// deployment takes the same path as Deploy — the engine's Deploy defaults
+// plus any options given here, per-machine ones (tiering, governor)
+// included; the target always comes from the system's core descriptions —
+// and goes through the engine's code cache, so a system with several
+// accelerators of the same kind compiles once — and repeated DeployHetero
+// calls for the same module reuse all native code.
 func (e *Engine) DeployHetero(sys *System, m *Module, policy Policy, opts ...DeployOption) (*HeteroRuntime, error) {
 	if m == nil {
 		return nil, fmt.Errorf("splitvm: DeployHetero needs a module (did Compile fail?)")
 	}
-	if len(m.mod.Imports) > 0 {
-		return nil, fmt.Errorf("splitvm: module %q imports other modules; use Engine.Link and DeployLinked so its cross-module calls resolve at link time", m.mod.Name)
+	if err := requireNoImports(m); err != nil {
+		return nil, err
 	}
 	cfg := e.deployConfig(opts)
-	jopts := cfg.jitOptions()
-	deploy := func(encoded []byte, tgt *target.Desc, _ jit.Options) (*core.Deployment, error) {
-		if cfg.noCache {
-			priv := *tgt // never alias the system's descriptor in a long-lived image
-			img, err := e.buildImage(m, &priv, jopts, cfg.lazyCompile, cacheKey{})
-			if err != nil {
-				return nil, err
-			}
-			d := img.Instantiate()
-			cfg.applyGovernor(d)
-			return d, nil
-		}
-		img, _, _, err := e.image(context.Background(), m, tgt, jopts, cfg.lazyCompile)
+	deploy := func(_ []byte, tgt *target.Desc, _ jit.Options) (*core.Deployment, error) {
+		dp, err := e.deploy(context.Background(), &cfg, tgt, []*Module{m})
 		if err != nil {
 			return nil, err
 		}
-		d := img.Instantiate()
-		cfg.applyGovernor(d)
-		return d, nil
+		return dp.d, nil
 	}
 	return hetero.NewRuntimeWith(sys, m.encoded, policy, deploy)
 }

@@ -145,3 +145,30 @@ func TestDeployHeteroEmbeddedSoC(t *testing.T) {
 		t.Errorf("saxpy stayed on the MCU host; the DSP should take it")
 	}
 }
+
+// TestDeployHeteroHonorsTiering: the per-machine deploy options reach every
+// core's deployment, exactly as they would through Deploy — tiering
+// enabled with WithTiering, with WithPromoteCalls and with WithProfile.
+func TestDeployHeteroHonorsTiering(t *testing.T) {
+	eng := New()
+	m, err := eng.Compile(heteroTestSource(t), WithModuleName("hetero-tier"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := CellLike()
+	for name, opt := range map[string]DeployOption{
+		"WithTiering":      WithTiering(true),
+		"WithPromoteCalls": WithPromoteCalls(2),
+		"WithProfile":      WithProfile(&Profile{}),
+	} {
+		rt, err := eng.DeployHetero(sys, m, Annotated, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range append([]SystemCore{sys.Host}, sys.Accel...) {
+			if !rt.Deployment(c.Name).Machine.TieringEnabled() {
+				t.Errorf("%s: core %s is not tiered", name, c.Name)
+			}
+		}
+	}
+}

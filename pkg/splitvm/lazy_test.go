@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -432,5 +433,55 @@ func TestEnsureCompiledMetricParity(t *testing.T) {
 	}
 	if got != want || got.I != 3025 {
 		t.Fatalf("linked lazy sumcubes(10) = %v, want %v (3025)", got, want)
+	}
+
+	// Annotation outcomes are compile results like the code: after
+	// EnsureCompiled a lazy deployment reports the eager negotiation —
+	// whether it compiled the methods itself or took them from the
+	// per-method store.
+	v0Eng := New()
+	v0, err := v0Eng.Compile(src, WithAnnotationVersion(AnnotationV0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := WithMinAnnotationVersion(AnnotationV1)
+	eagerV0, err := v0Eng.Deploy(v0, floor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRep := eagerV0.CompileReport()
+	if wantRep.AnnotationFallbacks == 0 {
+		t.Fatal("a V0 module under a V1 floor reported no annotation fallbacks")
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name      string
+		eng       *Engine
+		fromStore bool
+	}{
+		{"in-memory", New(), false},
+		{"store-cold", New(WithDiskCache(dir)), false},
+		{"store-hit", New(WithDiskCache(dir)), true},
+	} {
+		dep, err := tc.eng.Deploy(v0, floor, WithLazyCompile(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.EnsureCompiled(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		got := dep.CompileReport()
+		if !reflect.DeepEqual(got.AnnotationOutcomes, wantRep.AnnotationOutcomes) || got.AnnotationFallbacks != wantRep.AnnotationFallbacks {
+			t.Errorf("%s: lazy outcomes %+v (%d fallbacks), eager %+v (%d fallbacks)", tc.name,
+				got.AnnotationOutcomes, got.AnnotationFallbacks, wantRep.AnnotationOutcomes, wantRep.AnnotationFallbacks)
+		}
+		if dep.AnnotationFallbacks() != wantRep.AnnotationFallbacks {
+			t.Errorf("%s: AnnotationFallbacks() = %d, want %d", tc.name, dep.AnnotationFallbacks(), wantRep.AnnotationFallbacks)
+		}
+		for name, ms := range dep.CompileState() {
+			if ms.FromStore != tc.fromStore {
+				t.Errorf("%s: method %s FromStore = %v, want %v", tc.name, name, ms.FromStore, tc.fromStore)
+			}
+		}
 	}
 }

@@ -88,58 +88,18 @@ func (e *Engine) Link(mods ...*Module) (*LinkedModule, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("splitvm: Link needs at least one module")
 	}
-	byHash := make(map[[cil.HashSize]byte]*Module, len(mods))
-	owner := make(map[string]*Module)
-	for _, m := range mods {
+	cmods := make([]*cil.Module, len(mods))
+	hashes := make([][cil.HashSize]byte, len(mods))
+	for i, m := range mods {
 		if m == nil {
 			return nil, fmt.Errorf("splitvm: Link got a nil module (did Compile fail?)")
 		}
-		if _, dup := byHash[m.hash]; dup {
-			return nil, fmt.Errorf("splitvm: module %q appears in the link set twice", m.mod.Name)
-		}
-		byHash[m.hash] = m
-		for _, meth := range m.mod.Methods {
-			if prev, dup := owner[meth.Name]; dup {
-				return nil, fmt.Errorf("splitvm: method %q defined by both %q and %q; method names must be unique across a link set",
-					meth.Name, prev.mod.Name, m.mod.Name)
-			}
-			owner[meth.Name] = m
-		}
+		cmods[i], hashes[i] = m.mod, m.hash
 	}
-	for _, m := range mods {
-		for i := range m.mod.Imports {
-			im := &m.mod.Imports[i]
-			dep, ok := byHash[im.Hash]
-			if !ok {
-				return nil, fmt.Errorf("splitvm: module %q imports %q (hash %x) which is not in the link set",
-					m.mod.Name, im.Module, im.Hash[:8])
-			}
-			for _, want := range im.Methods {
-				got := dep.mod.Method(want.Name)
-				if got == nil {
-					return nil, fmt.Errorf("splitvm: module %q imports method %q from %q, which does not define it",
-						m.mod.Name, want.Name, dep.mod.Name)
-				}
-				if !sameLinkSignature(got, want) {
-					return nil, fmt.Errorf("splitvm: module %q imports %q.%s with a signature that does not match the linked module",
-						m.mod.Name, dep.mod.Name, want.Name)
-				}
-			}
-		}
+	if err := core.CheckLinkSet(cmods, hashes); err != nil {
+		return nil, err
 	}
 	return &LinkedModule{mods: append([]*Module(nil), mods...)}, nil
-}
-
-func sameLinkSignature(got *cil.Method, want cil.ImportedMethod) bool {
-	if len(got.Params) != len(want.Params) || got.Ret != want.Ret {
-		return false
-	}
-	for i := range got.Params {
-		if got.Params[i] != want.Params[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Modules returns the link set's members in link order.
@@ -178,35 +138,5 @@ func (e *Engine) DeployLinkedContext(ctx context.Context, lm *LinkedModule, opts
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	jopts := cfg.jitOptions()
-	units := make([]core.LinkUnit, len(lm.mods))
-	allHit, allDisk := true, true
-	for i, m := range lm.mods {
-		var img *core.Image
-		if cfg.noCache {
-			priv := *tgt
-			img, err = e.buildImage(m, &priv, jopts, cfg.lazyCompile, cacheKey{})
-			allHit, allDisk = false, false
-		} else {
-			var hit, diskHit bool
-			img, hit, diskHit, err = e.image(ctx, m, tgt, jopts, cfg.lazyCompile)
-			allHit = allHit && hit
-			allDisk = allDisk && diskHit
-		}
-		if err != nil {
-			return nil, err
-		}
-		units[i] = core.LinkUnit{Hash: m.hash, Image: img}
-	}
-	linked, err := core.NewLinked(units)
-	if err != nil {
-		return nil, err
-	}
-	d := linked.Instantiate()
-	cfg.applyTiering(d)
-	cfg.applyGovernor(d)
-	return &Deployment{d: d, fromCache: allHit, fromDisk: allDisk, linked: linked}, nil
+	return e.deploy(ctx, &cfg, tgt, lm.mods)
 }

@@ -1,11 +1,10 @@
 package splitvm
 
 import (
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/anno"
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/target"
 )
@@ -26,7 +25,9 @@ import (
 //     Compile or Deploy no longer type-checks.
 //
 // Options given to New apply to every call on that engine; options given to
-// a call apply on top, last writer wins.
+// a call apply on top, last writer wins. Both start from the process-wide
+// SPLITVM_* overrides, so an option always beats the environment (see the
+// package doc).
 
 // Option is the root option interface: anything New accepts. It is the
 // deprecated name for call-site use — pass CompileOption values to Compile
@@ -119,16 +120,13 @@ type config struct {
 	diskDir   string
 }
 
-// envLazyCompile is the SPLITVM_LAZY override, read once per process: "1"
-// (or "on") makes every deployment lazy by default, like SPLITVM_TIER does
-// for tiering. CI uses it to prove lazy compilation never moves a gated
-// metric.
-var envLazyCompile = sync.OnceValue(func() bool {
-	v := os.Getenv("SPLITVM_LAZY")
-	return v == "1" || v == "on"
-})
-
+// defaultConfig is the configuration every call starts from: the built-in
+// defaults with the process-wide SPLITVM_* overrides applied on top.
 func defaultConfig() config {
+	return defaultConfigWith(core.EnvOverrides())
+}
+
+func defaultConfigWith(env core.Overrides) config {
 	return config{
 		vectorize:           true,
 		constFold:           true,
@@ -137,8 +135,11 @@ func defaultConfig() config {
 		annotationVersion:   anno.CurrentVersion,
 		arch:                target.X86SSE,
 		regAlloc:            RegAllocSplit,
-		lazyCompile:         envLazyCompile(),
-		memLimit:            envMemLimit(),
+		lazyCompile:         env.Lazy,
+		tiering:             env.Tier,
+		memLimit:            env.MemLimit,
+		compileWorkers:      env.CompileWorkers,
+		diskDir:             env.DiskCache,
 	}
 }
 
@@ -235,7 +236,7 @@ func WithForceScalarize(on bool) DeployOption {
 // simulated cycles never change; only when compile time is paid does.
 // Deploy-time validation (decode, verify, link resolution) is not deferred:
 // anything wrong with the module still fails the deployment, never a first
-// call. The default is eager; SPLITVM_LAZY=1 flips the process-wide default.
+// call. The default is eager; SPLITVM_LAZY=1 flips the default.
 func WithLazyCompile(on bool) DeployOption {
 	return deployOption(func(c *config) { c.lazyCompile = on })
 }
@@ -255,25 +256,26 @@ func WithCacheSize(n int) Option {
 }
 
 // WithDiskCache backs the engine's code cache with a persistent
-// content-addressed store rooted at dir (created if absent): every completed
-// JIT compilation is spilled to disk keyed by the same (module sha256,
-// target descriptor, JIT options) identity as the in-memory cache, an LRU
-// eviction demotes to disk instead of dropping, and a miss consults the
-// disk before compiling — so restarted engines deploy warm
-// (Deployment.FromCache reports true, CompileStats counts no compilation)
-// and replicas can share a cache volume. Lazy deployments store per-method
-// entries under the same identity, so a method JIT-compiles at most once
-// fleet-wide. Entries are written atomically and checksummed; a corrupt or
-// truncated entry degrades to recompilation, never to an error. Like
-// WithCacheSize this is a property of the whole engine: it only type-checks
-// on New. Check Engine.DiskCacheErr when durability is required.
+// content-addressed store rooted at dir (created if absent): every method
+// the JIT compiles is written through to disk, one entry per method, keyed
+// by the same (module sha256, target descriptor, JIT options) identity as
+// the in-memory cache, and every method resolution consults the disk before
+// compiling — so restarted engines deploy warm (Deployment.FromCache
+// reports true, CompileStats counts no compilation), an LRU eviction loses
+// nothing, and replicas sharing a cache volume JIT each method at most once
+// fleet-wide, eager and lazy deployments alike. Entries are written
+// atomically and checksummed; a corrupt or truncated entry degrades to
+// recompilation, never to an error. Like WithCacheSize this is a property
+// of the whole engine: it only type-checks on New. SPLITVM_DISK_CACHE sets
+// the default; WithDiskCache("") turns it off. Check Engine.DiskCacheErr
+// when durability is required.
 func WithDiskCache(dir string) Option {
 	return engineOption(func(c *config) { c.diskDir = dir })
 }
 
 // WithCompileWorkers bounds the number of methods the JIT compiles
-// concurrently during one compilation (0 — the default — uses GOMAXPROCS; 1
-// compiles sequentially). The generated native code is bit-identical for
+// concurrently while building one image (0 uses GOMAXPROCS; 1 compiles
+// sequentially; SPLITVM_COMPILE_WORKERS sets the default). The generated native code is bit-identical for
 // every worker count — parallelism buys wall-clock compile time, never a
 // different program — so the knob is deliberately not part of the code-cache
 // key: deployments that differ only in their worker count share images.

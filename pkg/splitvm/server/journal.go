@@ -185,9 +185,7 @@ func (s *Server) instantiateFromJournal(dr journalDeployRecord) (*liveDeployment
 		splitvm.WithRegAllocMode(mode),
 		splitvm.WithForceScalarize(dr.ForceScalarize),
 		splitvm.WithLazyCompile(dr.Lazy),
-	}
-	if dr.Tiering || dr.PromoteCalls != 0 || len(dr.Profile) > 0 {
-		opts = append(opts, splitvm.WithTiering(true))
+		splitvm.WithTiering(dr.Tiering || dr.PromoteCalls != 0 || len(dr.Profile) > 0),
 	}
 	if dr.PromoteCalls != 0 {
 		opts = append(opts, splitvm.WithPromoteCalls(dr.PromoteCalls))

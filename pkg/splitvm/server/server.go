@@ -691,14 +691,12 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	tiering := req.Tiering || req.PromoteCalls != 0 || len(req.Profile) > 0
 	opts := []splitvm.DeployOption{
 		splitvm.WithRegAllocMode(mode),
 		splitvm.WithForceScalarize(req.ForceScalarize),
 		splitvm.WithLazyCompile(req.Lazy),
-	}
-	tiering := req.Tiering || req.PromoteCalls != 0 || len(req.Profile) > 0
-	if tiering {
-		opts = append(opts, splitvm.WithTiering(true))
+		splitvm.WithTiering(tiering),
 	}
 	if req.MemLimit > 0 {
 		opts = append(opts, splitvm.WithMemLimit(req.MemLimit))

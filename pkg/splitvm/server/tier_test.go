@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 )
 
@@ -27,9 +26,6 @@ func runOnce(t *testing.T, ts *httptest.Server, id string) {
 // tiered, run to promotion, export the profile, warm a second deployment
 // with it, and watch the tier counters in /v1/stats.
 func TestTieredDeployEndToEnd(t *testing.T) {
-	if v := os.Getenv("SPLITVM_TIER"); v == "1" || v == "on" {
-		t.Skip("SPLITVM_TIER forces tiering on every deployment; this test exercises the per-deploy opt-in")
-	}
 	_, ts := newTestServer(t, Config{})
 	id := upload(t, ts, encodeModule(t, sumsqSource))
 

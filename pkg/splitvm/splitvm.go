@@ -22,8 +22,15 @@
 // WithLazyCompile, ...) by Deploy, and a SharedOption (WithProfile) by
 // both — passing an option to the wrong stage is a compile error, not a
 // silent no-op. Every option also satisfies the root Option interface,
-// which is what New accepts: options passed to New become engine-wide
-// defaults; options passed to a single call override them for that call.
+// which is what New accepts.
+//
+// Precedence is the same for every setting: an option passed to a call
+// beats an option passed to New, which beats the process-wide SPLITVM_*
+// environment overrides (SPLITVM_LAZY, SPLITVM_TIER, SPLITVM_MEM_LIMIT,
+// SPLITVM_DISK_CACHE, SPLITVM_COMPILE_WORKERS), which beat the built-in
+// defaults. The overrides are read once per process and are only
+// defaults: an explicit option always wins, even one that sets the zero
+// value.
 //
 // Context plumbing follows one convention across the whole surface, stated
 // here once: the *Context variant (CompileContext, DeployContext,
@@ -34,24 +41,30 @@
 // caller), and a cancelled lazy run never leaves a half-patched dispatch
 // table: the method stays a stub and the next call compiles it.
 //
-// Deployments are eager by default: every method JIT-compiles at deploy
-// time. WithLazyCompile(true) installs per-method stubs instead; each
-// method compiles on its first call (singleflight per image and method),
-// producing code bit-identical to the eager build — results and simulated
-// cycles never depend on compilation timing — and sharing per-method code
-// fleet-wide through the disk cache. Programs authored as several modules
-// compile with CompileModules, validate with Link and deploy with
-// DeployLinked; cross-module calls resolve module-by-content-hash at link
-// time, so a missing or mismatched dependency is a Link error, never a
-// first-call panic.
+// There is one deploy model. Every deployment — Deploy, DeployLinked or
+// DeployHetero — is a link set of per-method images instantiated as one
+// machine; a single module is a link set of one. Each image is a table of
+// the module's methods compiled for one target. Deployments are eager by
+// default: every method JIT-compiles at deploy time, over a bounded worker
+// pool (WithCompileWorkers). WithLazyCompile(true) leaves the methods as
+// stubs instead; each compiles on its first call (singleflight per image
+// and method). Both run the same per-method pipeline, so results,
+// simulated cycles and — once EnsureCompiled has run — code statistics and
+// annotation outcomes never depend on when a method compiled. Programs
+// authored as several modules compile with CompileModules, validate with
+// Link and deploy with DeployLinked; cross-module calls resolve
+// module-by-content-hash at link time, so a missing or mismatched
+// dependency is a Link error, never a first-call panic.
 //
-// The engine maintains a concurrency-safe code cache keyed by (module
-// content hash, target description, JIT options): repeated deployments of
-// the same module on the same kind of core reuse the JIT-compiled native
-// program and only pay for a fresh machine. Concurrent deployments of the
-// same key JIT-compile once; the losers of the race wait for the winner's
-// image. This is the first scaling primitive toward serving many concurrent
-// deployment requests from one engine.
+// The engine maintains a concurrency-safe code cache of images keyed by
+// (module content hash, target description, JIT options, eager or lazy):
+// repeated deployments of the same module on the same kind of core reuse
+// the native code and only pay for a fresh machine. Concurrent deployments
+// of the same key compile once; the losers of the race wait for the
+// winner's image. With WithDiskCache every compiled method is also written
+// through to a persistent per-method store shared by eager and lazy
+// deployments, restarts and replicas, so a method JIT-compiles at most once
+// fleet-wide.
 //
 // A minimal round trip:
 //
@@ -66,8 +79,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"sync"
+	"time"
 
 	"repro/internal/anno"
 	"repro/internal/cil"
@@ -83,7 +96,9 @@ import (
 // use by multiple goroutines; the zero value is not usable — construct
 // engines with New.
 type Engine struct {
-	defaults []Option
+	// base is the engine-wide configuration every call starts from: the
+	// built-in defaults, the SPLITVM_* overrides, then New's options.
+	base config
 
 	// disk is the persistent cache layer (WithDiskCache), nil when not
 	// configured; diskErr records why opening the store failed — the
@@ -121,25 +136,26 @@ type Engine struct {
 
 // New returns an engine. The options become the engine's defaults; every
 // Compile/Deploy call starts from them and applies its own options on top.
-//
-// The SPLITVM_DISK_CACHE environment variable names a persistent cache
-// directory applied to every engine that was not explicitly configured
-// with WithDiskCache — the process-wide twin of that option, like
-// SPLITVM_TIER and SPLITVM_COMPILE_WORKERS. CI uses it to prove that
-// enabling the disk cache never moves a gated metric.
+// The SPLITVM_* environment overrides (see the package doc) are the
+// defaults both kinds of options start from.
 func New(defaults ...Option) *Engine {
+	return newEngine(defaultConfig(), defaults...)
+}
+
+// newEngine builds an engine over an explicit starting configuration (New
+// passes the built-in defaults with the process's overrides applied).
+func newEngine(base config, defaults ...Option) *Engine {
+	for _, o := range defaults {
+		o.apply(&base)
+	}
 	e := &Engine{
-		defaults: append([]Option(nil), defaults...),
-		cache:    make(map[cacheKey]*cacheEntry),
-		lru:      list.New(),
+		base:       base,
+		cache:      make(map[cacheKey]*cacheEntry),
+		lru:        list.New(),
+		maxEntries: base.cacheSize,
 	}
-	cfg := e.config(nil)
-	e.maxEntries = cfg.cacheSize
-	if cfg.diskDir == "" {
-		cfg.diskDir = os.Getenv("SPLITVM_DISK_CACHE")
-	}
-	if cfg.diskDir != "" {
-		e.disk, e.diskErr = diskcache.Open(cfg.diskDir)
+	if base.diskDir != "" {
+		e.disk, e.diskErr = diskcache.Open(base.diskDir)
 	}
 	return e
 }
@@ -150,22 +166,11 @@ func New(defaults ...Option) *Engine {
 // memory only — so callers that require durability must check explicitly.
 func (e *Engine) DiskCacheErr() error { return e.diskErr }
 
-// config resolves the effective configuration for one call. The three
-// variants differ only in the option type they accept; New's defaults are
-// always applied first.
-func (e *Engine) config(opts []Option) config {
-	cfg := defaultConfig()
-	for _, o := range e.defaults {
-		o.apply(&cfg)
-	}
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	return cfg
-}
-
+// compileConfig and deployConfig resolve the effective configuration for
+// one call: the engine's base with the call's options applied, last writer
+// winning. They differ only in the option type they accept.
 func (e *Engine) compileConfig(opts []CompileOption) config {
-	cfg := e.config(nil)
+	cfg := e.base
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
@@ -173,7 +178,7 @@ func (e *Engine) compileConfig(opts []CompileOption) config {
 }
 
 func (e *Engine) deployConfig(opts []DeployOption) config {
-	cfg := e.config(nil)
+	cfg := e.base
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
@@ -282,70 +287,99 @@ func (e *Engine) DeployContext(ctx context.Context, m *Module, opts ...DeployOpt
 	if m == nil {
 		return nil, fmt.Errorf("splitvm: Deploy needs a module (did Compile fail?)")
 	}
-	if len(m.mod.Imports) > 0 {
-		return nil, fmt.Errorf("splitvm: module %q imports other modules; use Engine.Link and DeployLinked so its cross-module calls resolve at link time", m.mod.Name)
+	if err := requireNoImports(m); err != nil {
+		return nil, err
 	}
 	cfg := e.deployConfig(opts)
 	tgt, err := cfg.targetDesc()
 	if err != nil {
 		return nil, err
 	}
+	return e.deploy(ctx, &cfg, tgt, []*Module{m})
+}
+
+// requireNoImports directs modules with cross-module calls to the link API.
+func requireNoImports(m *Module) error {
+	if len(m.mod.Imports) > 0 {
+		return fmt.Errorf("splitvm: module %q imports other modules; use Engine.Link and DeployLinked so its cross-module calls resolve at link time", m.mod.Name)
+	}
+	return nil
+}
+
+// deploy is the one deploy path behind Deploy, DeployLinked and
+// DeployHetero: fetch (or build) one image per module for the target, link
+// them — a single module is a link set of one — and instantiate a machine
+// configured with the per-machine options. The deployment is FromCache
+// (FromDisk) only when every unit was.
+func (e *Engine) deploy(ctx context.Context, cfg *config, tgt *target.Desc, mods []*Module) (*Deployment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	jopts := cfg.jitOptions()
-	if cfg.noCache {
-		priv := *tgt // the image outlives the call; never alias the caller's descriptor
-		img, err := e.buildImage(m, &priv, jopts, cfg.lazyCompile, cacheKey{})
+	units := make([]core.LinkUnit, len(mods))
+	allHit, allDisk := !cfg.noCache, !cfg.noCache
+	for i, m := range mods {
+		var img *core.Image
+		var err error
+		if cfg.noCache {
+			priv := *tgt // the image outlives the call; never alias the caller's descriptor
+			img, _, err = e.buildImage(m, &priv, jopts, cfg.lazyCompile, nil)
+		} else {
+			var hit, diskHit bool
+			img, hit, diskHit, err = e.image(ctx, m, tgt, jopts, cfg.lazyCompile)
+			allHit, allDisk = allHit && hit, allDisk && diskHit
+		}
 		if err != nil {
 			return nil, err
 		}
-		d := img.Instantiate()
-		cfg.applyTiering(d)
-		cfg.applyGovernor(d)
-		return &Deployment{d: d}, nil
+		units[i] = core.LinkUnit{Hash: m.hash, Image: img}
 	}
-	img, hit, diskHit, err := e.image(ctx, m, tgt, jopts, cfg.lazyCompile)
+	linked, err := core.NewLinked(units)
 	if err != nil {
 		return nil, err
 	}
-	d := img.Instantiate()
+	d := linked.Instantiate()
 	cfg.applyTiering(d)
 	cfg.applyGovernor(d)
-	return &Deployment{d: d, fromCache: hit, fromDisk: diskHit}, nil
+	return &Deployment{d: d, fromCache: allHit, fromDisk: allDisk}, nil
 }
 
-// buildImage constructs one image outside the cache lookup: eager (counted
-// as a compilation) or lazy (counted per method as first calls arrive). The
-// key wires lazy images to the per-method disk store; the zero key — the
-// no-cache path — leaves them store-less.
-func (e *Engine) buildImage(m *Module, tgt *target.Desc, jopts jit.Options, lazy bool, key cacheKey) (*core.Image, error) {
-	if !lazy {
-		img, err := core.ImageFromVerifiedModule(m.mod, tgt, jopts)
-		if err != nil {
-			return nil, err
+// buildImage constructs one image outside the cache lookup. Every method
+// resolves through the per-method store when one is given (nil on the
+// no-cache path). An eager build resolves every method now and is counted
+// as one compilation — or, when every method came from the store, reported
+// as a disk hit instead. A lazy build is counted per method as first calls
+// arrive.
+func (e *Engine) buildImage(m *Module, tgt *target.Desc, jopts jit.Options, lazy bool, store core.MethodStore) (*core.Image, bool, error) {
+	icfg := core.ImageConfig{Lazy: lazy, Store: store}
+	if lazy {
+		icfg.OnCompile = func(method string, nanos int64, fromStore bool) {
+			e.mu.Lock()
+			if fromStore {
+				e.diskHits++
+			} else {
+				e.lazyCompiles++
+				e.compileNanos += nanos
+			}
+			e.mu.Unlock()
 		}
-		e.countCompilation(img)
-		return img, nil
 	}
-	img, err := core.LazyImageFromVerifiedModule(m.mod, tgt, jopts)
-	if err != nil {
-		return nil, err
+	start := time.Now()
+	img, err := core.NewImage(m.mod, tgt, jopts, icfg)
+	if err != nil || lazy {
+		return img, false, err
 	}
-	if e.disk != nil && key != (cacheKey{}) {
-		img.SetMethodStore(e.methodStore(key))
+	if sum := img.Summary(); store != nil && sum.FromStore == sum.Total {
+		return img, true, nil
 	}
-	img.OnLazyCompile(func(method string, nanos int64, fromStore bool) {
-		e.mu.Lock()
-		if fromStore {
-			e.diskHits++
-		} else {
-			e.lazyCompiles++
-			e.compileNanos += nanos
-		}
-		e.mu.Unlock()
-	})
-	return img, nil
+	e.mu.Lock()
+	e.compilations++
+	e.compileNanos += time.Since(start).Nanoseconds()
+	if img.Report().Fallbacks > 0 {
+		e.annoFallbacks++
+	}
+	e.mu.Unlock()
+	return img, false, nil
 }
 
 // cacheKey identifies one JIT compilation. The target description is keyed
@@ -363,7 +397,8 @@ type cacheKey struct {
 	// lazy separates lazily materialized images from eager ones: the native
 	// code is bit-identical method by method, but an eager image is complete
 	// at deploy time while a lazy one fills in as methods are first called,
-	// so the two must never be the same cache entry.
+	// so the two must never be the same in-memory entry (the per-method disk
+	// entries, which hold only finished code, are shared).
 	lazy bool
 }
 
@@ -377,11 +412,6 @@ type cacheEntry struct {
 	// elem is the entry's position in the engine's LRU list, nil while the
 	// compilation is in flight or after eviction. Guarded by Engine.mu.
 	elem *list.Element
-	// persisted records that the image is durably in the disk store, so an
-	// LRU eviction can drop it from memory without losing it; entries that
-	// missed their write-through are demoted at eviction time instead.
-	// Written only by the goroutine that owns the compilation or eviction.
-	persisted bool
 }
 
 // image returns the JIT-compiled image for (module, target, options),
@@ -429,42 +459,21 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 	e.cache[key] = ent
 	e.mu.Unlock()
 
-	// Memory missed; the persistent layer gets the next word. A disk hit is
-	// a cache hit for the caller (same image the original compilation
-	// produced, no JIT work) — just a slower one — and is promoted into the
-	// LRU like any completed entry. Anything wrong with the disk copy
-	// (absent, truncated, bit-flipped, stale schema) falls through to a
-	// plain recompilation: the disk is advisory, never authoritative. Lazy
-	// images skip the whole-image layer entirely: they persist method by
-	// method through the method store instead.
-	diskHit := false
-	if e.disk != nil && !lazy {
-		if img, ok := e.loadFromDisk(key, tgt, jopts, m); ok {
-			ent.img = img
-			ent.persisted = true
-			diskHit = true
-		}
+	// Memory missed; the persistent layer gets the next word, method by
+	// method: every resolution consults the store first and writes what it
+	// compiled through to it. An eager build served entirely from the store
+	// is a cache hit for the caller (same code the original compilation
+	// produced, no JIT work) — just a slower one. Anything wrong with a disk
+	// entry falls through to a plain compilation of that method: the disk is
+	// advisory, never authoritative.
+	var store core.MethodStore
+	if e.disk != nil {
+		store = e.methodStore(key)
 	}
-	if !diskHit {
-		ent.img, ent.err = e.buildImage(m, tgt, jopts, lazy, key)
-	}
+	var diskHit bool
+	ent.img, diskHit, ent.err = e.buildImage(m, tgt, jopts, lazy, store)
 	close(ent.ready)
-	if ent.err == nil && !diskHit {
-		if lazy {
-			// A lazy image is never gob-encoded whole (it may be partial at
-			// any moment); marking it persisted lets an LRU eviction drop it
-			// without a pointless demotion write.
-			ent.persisted = true
-		} else if e.disk != nil {
-			// Write-through, outside the engine lock: restarts are warm and
-			// replicas sharing the volume skip this compilation entirely.
-			ent.persisted = e.persistImage(key, ent.img)
-		}
-	}
-	// demoted collects evicted entries whose write-through never landed;
-	// they are persisted after the lock is released (disk I/O under the
-	// engine mutex would stall every concurrent deployment).
-	var demoted []*cacheEntry
+
 	e.mu.Lock()
 	switch {
 	case ent.err != nil:
@@ -484,7 +493,8 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 		}
 		// Publish to the LRU list and enforce the size bound. Only completed
 		// entries are evictable; an in-flight compilation is pinned by its
-		// waiters.
+		// waiters. Evicted code stays reachable on disk: it was written
+		// through method by method as it compiled.
 		ent.elem = e.lru.PushFront(ent)
 		for e.maxEntries > 0 && e.lru.Len() > e.maxEntries {
 			old := e.lru.Remove(e.lru.Back()).(*cacheEntry)
@@ -493,9 +503,6 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 				delete(e.cache, old.key)
 			}
 			e.evictions++
-			if e.disk != nil && !old.persisted {
-				demoted = append(demoted, old)
-			}
 		}
 	default:
 		// A concurrent ClearCache superseded the entry; the caller still
@@ -505,25 +512,10 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 		}
 	}
 	e.mu.Unlock()
-	for _, old := range demoted {
-		old.persisted = e.persistImage(old.key, old.img)
-	}
 	if ent.err != nil {
 		return nil, false, false, ent.err
 	}
 	return ent.img, diskHit, diskHit, nil
-}
-
-// countCompilation records one completed JIT compilation and its
-// annotation-negotiation outcome in the engine counters.
-func (e *Engine) countCompilation(img *core.Image) {
-	e.mu.Lock()
-	e.compilations++
-	e.compileNanos += img.CompileNanos
-	if img.AnnotationFallbacks > 0 {
-		e.annoFallbacks++
-	}
-	e.mu.Unlock()
 }
 
 // CompileStats reports JIT compilation outcomes over the engine's lifetime.

@@ -28,7 +28,7 @@ type Profile = profile.ModuleProfile
 type TierStats = sim.TierStats
 
 // WithTiering enables runtime profiling and tier-2 promotion on a
-// deployment (default off). Tiering is per machine and deliberately not
+// deployment (default off; SPLITVM_TIER=1 flips the default). Tiering is per machine and deliberately not
 // part of the code-cache key: tier 2 never changes simulated cycles,
 // statistics or results, so tiered and plain deployments share images.
 func WithTiering(on bool) DeployOption {
